@@ -17,7 +17,9 @@
  *        [--bucket-kb 256] [--dp-compress] [--smoke]
  * --smoke shrinks the run to one tiny grid point with an identity
  * check, for ctest / sanitizer jobs. Thread count comes from
- * OPTIMUS_THREADS (default: hardware).
+ * OPTIMUS_THREADS (default: hardware). Exits non-zero when the
+ * reduce modes differ in any bit or, with arenas on, when any grid
+ * point makes a steady-state heap allocation.
  */
 
 #include <chrono>
@@ -239,6 +241,7 @@ main(int argc, char **argv)
     std::fprintf(f, "  \"points\": [\n");
 
     bool identity_ok = true;
+    bool alloc_ok = true;
     for (size_t pi = 0; pi < points.size(); ++pi) {
         const GridPoint &point = points[pi];
         std::printf("D=%d P=%d M=%d\n", point.d, point.p, point.m);
@@ -303,6 +306,18 @@ main(int argc, char **argv)
                          point.p, point.m);
         }
 
+        // With arenas off every tensor is heap-backed by design;
+        // with them on, a steady-state heap allocation breaks the
+        // zero-allocation contract alloc_gate enforces.
+        if (arenaEnabled() && heap_delta != 0) {
+            alloc_ok = false;
+            std::fprintf(stderr,
+                         "ALLOCATION VIOLATION: %lld steady-state heap "
+                         "allocations at D=%d P=%d M=%d\n",
+                         static_cast<long long>(heap_delta), point.d,
+                         point.p, point.m);
+        }
+
         const double speedup =
             timings[2].step > 0.0 ? timings[1].step / timings[2].step
                                   : 1.0;
@@ -350,7 +365,11 @@ main(int argc, char **argv)
     if (!identity_ok) {
         std::fprintf(stderr,
                      "FAILED: reduce modes are not bitwise equal\n");
-        return 1;
     }
-    return 0;
+    if (!alloc_ok) {
+        std::fprintf(stderr,
+                     "FAILED: steady-state steps allocated on the "
+                     "heap\n");
+    }
+    return identity_ok && alloc_ok ? 0 : 1;
 }

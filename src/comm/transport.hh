@@ -291,13 +291,13 @@ class InProcessTransport : public Transport
     }
 
     /** Relaxed atomic: set between iterations, read inside
-     *  concurrently-issued verbs (replica loop, bucket tasks). */
+     *  concurrently-issued verbs (pipeline ops, bucket tasks). */
     std::atomic<int64_t> iteration_{0};
 };
 
 /**
  * Decorator that appends every completed event to a CommTrace.
- * Verbs are issued concurrently (the replica loop, overlapped
+ * Verbs are issued concurrently (the pipeline ops, overlapped
  * bucket tasks), so appends are mutex-serialized; the append order
  * is therefore run-dependent, which is why trace consumers use the
  * order-independent integer sums or the canonical sorted order.

@@ -55,7 +55,7 @@ struct TraceSummary
     int64_t steps = 0;        // distinct trainer step ids seen
 
     // Seconds summed over all steps, from cat="phase" spans...
-    double forwardBackward = 0.0; // compute (fwd+bwd replica loop)
+    double forwardBackward = 0.0; // compute (fwd+bwd pipeline ops)
     double dpReduce = 0.0;        // exposed reduce wait in the step
     double embSync = 0.0;
     double optimizer = 0.0;

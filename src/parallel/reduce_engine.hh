@@ -22,7 +22,7 @@
  *    D-th replica to finish backward for the stage enqueues the
  *    stage's buckets, so late-stage reduction runs on idle pool
  *    workers while early stages are still in backward. In barriered
- *    mode the trainer enqueues everything after the replica loop —
+ *    mode the trainer enqueues everything after the pipeline ran —
  *    the same tasks, just later.
  *
  *  - **Determinism.** A bucket reduce is bitwise identical no
@@ -122,7 +122,7 @@ class ReduceEngine
                         int64_t iteration = 0);
 
     /**
-     * Replica-done signal, called from inside the replica loop
+     * Replica-done signal, called from inside a pipeline-stage op
      * (thread-safe) once this stage's backward — and micro-batch
      * gradient scaling — finished on one replica. The last arrival
      * enqueues every bucket when overlap is armed.

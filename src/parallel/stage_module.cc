@@ -1,5 +1,7 @@
 #include "parallel/stage_module.hh"
 
+#include <algorithm>
+
 #include "util/logging.hh"
 
 namespace optimus
@@ -166,6 +168,19 @@ StageModule::clearStash()
         finalNorm_->clearStash();
     if (head_)
         head_->clearStash();
+}
+
+size_t
+StageModule::stashDepth() const
+{
+    size_t depth = embedding_ ? embedding_->stashDepth() : 0;
+    for (const auto &block : blocks_)
+        depth = std::max(depth, block->stashDepth());
+    if (finalNorm_)
+        depth = std::max(depth, finalNorm_->stashDepth());
+    if (head_)
+        depth = std::max(depth, head_->stashDepth());
+    return depth;
 }
 
 } // namespace optimus

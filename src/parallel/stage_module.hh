@@ -73,6 +73,14 @@ class StageModule
     /** Drop all stashed activations. */
     void clearStash();
 
+    /**
+     * Micro-batches forwarded through this stage and not yet
+     * backwarded: every layer stashes one entry per such micro-batch,
+     * so between passes the layers agree and this is the deepest
+     * layer stash.
+     */
+    size_t stashDepth() const;
+
     // --- Forward-only (serving) entries -------------------------
     //
     // The same stage boundaries as training, in Mode::Infer: no

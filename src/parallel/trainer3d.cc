@@ -74,6 +74,8 @@ Trainer3d::Trainer3d(const Trainer3dConfig &config)
           recorder_ ? static_cast<Transport &>(*recorder_)
                     : *baseTransport_)),
       transport_(tracing_.get()),
+      executor_(config.dataParallel, config.pipelineStages,
+                config.microBatches),
       embSync_(config.fusedEmbeddingSync, transport_)
 {
     const int d_ways = config.dataParallel;
@@ -171,6 +173,9 @@ Trainer3d::Trainer3d(const Trainer3dConfig &config)
             workerParams_[p].push_back(stages_[d][p]->params());
     }
 
+    boundary_.resize(static_cast<size_t>(d_ways) * (p_ways - 1) *
+                     config.microBatches);
+    stashHighWater_.assign(static_cast<size_t>(d_ways) * p_ways, 0);
     scorer_ = std::make_unique<ReplicaScorer>(*this);
 }
 
@@ -210,6 +215,14 @@ Trainer3d::channel(int d, int s)
     return *channels_[d][s - 1];
 }
 
+int
+Trainer3d::stashHighWater(int d, int p) const
+{
+    OPTIMUS_ASSERT(d >= 0 && d < config_.dataParallel);
+    OPTIMUS_ASSERT(p >= 0 && p < config_.pipelineStages);
+    return stashHighWater_[d * config_.pipelineStages + p];
+}
+
 const ReduceEngine &
 Trainer3d::reduceEngine(int p) const
 {
@@ -232,7 +245,7 @@ Trainer3d::trainIteration(const LmDataset &data, Rng &rng)
 
     // Serial portions of the step (sampling, sequential reduce,
     // embedding sync, optimizer) draw tensor storage from the step
-    // arena; the replica loop below installs per-replica scopes.
+    // arena; the pipeline ops below install per-replica scopes.
     // Workspaces rewind when nothing is outstanding and recycle
     // through their free lists otherwise — either way no heap call.
     stepArena_->reset();
@@ -301,82 +314,89 @@ Trainer3d::trainIteration(const LmDataset &data, Rng &rng)
     // so tools/tracesum reconciles with the struct exactly.
     const int64_t t_iter = obs::nowNs();
 
-    // The D replicas touch disjoint state (stages, channels, loss
-    // heads, optimizers) until the all-reduce below, so they execute
-    // concurrently; the gradient all-reduce is the only sync point.
-    // Per-replica losses land in a fixed slot and are summed in
-    // replica order, keeping the reported loss independent of
-    // OPTIMUS_THREADS. Nested parallel regions inside the stages
-    // (GEMM, layer kernels) run inline on the issuing worker.
+    // Forward/backward: the 1F1B schedule executed on the pool (see
+    // pipeline_executor.hh). Each op is one stage's forward or
+    // backward of one micro-batch; stages of a replica overlap as
+    // far as their data dependencies allow, and the D replicas share
+    // nothing until the all-reduce below. Every stage, channel, and
+    // loss head sees its micro-batches in order, so the numerics do
+    // not depend on OPTIMUS_THREADS. Per-replica losses land in a
+    // fixed slot (only the last stage writes it, in micro-batch
+    // order) and are summed in replica order.
     replicaLoss_.assign(d_ways, 0.0);
-    std::vector<double> &replica_loss = replicaLoss_;
-    parallelFor(0, d_ways, 1, [&](int64_t d_lo, int64_t d_hi) {
-        for (int64_t d = d_lo; d < d_hi; ++d) {
-            obs::ScopedSpan replica_span("compute", "replica", d,
-                                         "iter", iterations_);
-            // Replica-private recycling pool for activations,
-            // stashes, and channel buffers.
-            WorkspaceScope replica_scope(replicaArenas_[d].get());
-            // Forward all micro-batches in order (message order per
-            // channel is micro-batch order, identical to 1F1B).
-            const int64_t t_fwd =
-                obs::tracingEnabled() ? obs::nowNs() : 0;
-            for (int m = 0; m < m_count; ++m) {
-                const LmBatch &mb = microBatches_[d * m_count + m];
-                Tensor h = stages_[d][0]->forwardTokens(mb.tokens,
-                                                        mb.batch);
-                for (int p = 1; p < p_ways; ++p) {
-                    channels_[d][p - 1]->observeForward(h, m);
-                    h = stages_[d][p]->forwardHidden(h);
-                }
-                replica_loss[d] += losses_[d].forward(h, mb.targets);
+    std::fill(stashHighWater_.begin(), stashHighWater_.end(), 0);
+    const auto boundary = [&](int d, int s, int m) -> Tensor & {
+        return boundary_[(static_cast<size_t>(d) * (p_ways - 1) + s) *
+                             m_count +
+                         m];
+    };
+    const auto run_op = [&](int d, const PipeOp &op) {
+        const int s = op.stage;
+        const int m = op.microBatch;
+        const bool last = s == p_ways - 1;
+        const int64_t t_op = obs::tracingEnabled() ? obs::nowNs() : 0;
+        // Replica-private recycling pool for activations, stashes,
+        // and channel buffers, shared by the replica's stage ops.
+        WorkspaceScope replica_scope(replicaArenas_[d].get());
+        StageModule &stage = *stages_[d][s];
+        if (op.kind == PipeOpKind::Forward) {
+            const LmBatch &mb = microBatches_[d * m_count + m];
+            Tensor h;
+            if (s == 0) {
+                h = stage.forwardTokens(mb.tokens, mb.batch);
+            } else {
+                const Tensor in = std::move(boundary(d, s - 1, m));
+                channels_[d][s - 1]->observeForward(in, m);
+                h = stage.forwardHidden(in);
             }
-            if (t_fwd != 0) {
-                obs::emitSpan("compute", "forward", t_fwd,
-                              obs::nowNs(), d, "iter", iterations_);
+            if (last)
+                replicaLoss_[d] += losses_[d].forward(h, mb.targets);
+            else
+                boundary(d, s, m) = std::move(h);
+            int &high = stashHighWater_[d * p_ways + s];
+            high = std::max(high, static_cast<int>(stage.stashDepth()));
+        } else {
+            // The boundary slot s -> s+1 carried micro-batch m's
+            // activation forward and now carries its gradient back.
+            Tensor g = last ? losses_[d].backward()
+                            : std::move(boundary(d, s, m));
+            g = stage.backwardHidden(g);
+            if (s == 0)
+                stage.backwardTokens(g);
+            // On the last micro-batch a stage's gradients are final
+            // the moment its backward returns: the engine path
+            // scales them by 1/M here and signals the stage's
+            // engine; the D-th replica's signal queues the stage's
+            // buckets while earlier stages are still in backward.
+            if (use_engine && m == m_count - 1) {
+                optimizers_[d][s]->scaleGrad(inv_m);
+                engines_[s]->notifyReplicaDone();
             }
-            const int64_t t_bwd =
-                obs::tracingEnabled() ? obs::nowNs() : 0;
-            // Backward all micro-batches in order. On the last
-            // micro-batch a stage's gradients are final the moment
-            // its backward returns, so the engine path scales them
-            // by 1/M right there and signals the stage's engine; the
-            // D-th replica's signal puts the stage's buckets on the
-            // pool queue while earlier stages are still in backward.
-            for (int m = 0; m < m_count; ++m) {
-                Tensor g = losses_[d].backward();
-                for (int p = p_ways - 1; p >= 1; --p) {
-                    g = stages_[d][p]->backwardHidden(g);
-                    if (use_engine && m == m_count - 1) {
-                        optimizers_[d][p]->scaleGrad(inv_m);
-                        engines_[p]->notifyReplicaDone();
-                    }
-                    g = channels_[d][p - 1]->send(g, m, m_count);
-                }
-                g = stages_[d][0]->backwardHidden(g);
-                stages_[d][0]->backwardTokens(g);
-                if (use_engine && m == m_count - 1) {
-                    optimizers_[d][0]->scaleGrad(inv_m);
-                    engines_[0]->notifyReplicaDone();
-                }
-            }
-            if (t_bwd != 0) {
-                obs::emitSpan("compute", "backward", t_bwd,
-                              obs::nowNs(), d, "iter", iterations_);
-            }
+            if (s > 0)
+                boundary(d, s - 1, m) =
+                    channels_[d][s - 1]->send(g, m, m_count);
         }
-    });
+        if (t_op != 0) {
+            obs::emitSpan("compute",
+                          op.kind == PipeOpKind::Forward ? "forward"
+                                                         : "backward",
+                          t_op, obs::nowNs(), s, "replica", d, "mb",
+                          m);
+        }
+    };
+    executor_.run(run_op);
     const int64_t t_fb_end = obs::nowNs();
     stats.phases.forwardBackward = obs::secondsBetween(t_iter,
                                                        t_fb_end);
     obs::emitSpan("phase", "forwardBackward", t_iter, t_fb_end,
                   iterations_);
     for (int d = 0; d < d_ways; ++d)
-        loss_sum += replica_loss[d];
+        loss_sum += replicaLoss_[d];
 
     // Legacy path: average gradients over micro-batches after the
-    // loop (per-replica optimizer state is disjoint). The engine
-    // path already scaled in-loop — same multiplications, earlier.
+    // pipeline ran (per-replica optimizer state is disjoint). The
+    // engine path already scaled inside the last backward ops —
+    // same multiplications, earlier.
     if (!use_engine) {
         parallelFor(0, d_ways, 1, [&](int64_t d_lo, int64_t d_hi) {
             for (int64_t d = d_lo; d < d_hi; ++d) {

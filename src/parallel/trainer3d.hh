@@ -32,6 +32,7 @@
 #include "nn/optimizer.hh"
 #include "parallel/channels.hh"
 #include "parallel/data_parallel.hh"
+#include "parallel/pipeline_executor.hh"
 #include "parallel/reduce_engine.hh"
 #include "parallel/stage_module.hh"
 #include "runtime/runtime.hh"
@@ -49,7 +50,7 @@ enum class DpReduceMode
 {
     /** Legacy path: sequential per-parameter reduce after backward. */
     Sequential,
-    /** Bucketed engine, all buckets enqueued after the replica loop. */
+    /** Bucketed engine, all buckets enqueued after the pipeline ran. */
     Barriered,
     /**
      * Bucketed engine, stage p's buckets enqueued by the last
@@ -120,12 +121,12 @@ struct Trainer3dConfig
 
 /**
  * Wall-time breakdown of one iteration (seconds, steady clock).
- * `forwardBackward` is the replica-loop wall time; in overlapped
- * mode it already contains any reduction hidden behind backward.
- * `dpReduce` is the *exposed* reduce time (flush + drain after the
- * replica loop), `dpReduceBusy` the summed time spent inside bucket
- * tasks wherever they ran, and `overlapHidden` their difference —
- * the reduce work that cost no critical-path time.
+ * `forwardBackward` is the wall time of the pipeline ops; in
+ * overlapped mode it already contains any reduction hidden behind
+ * backward. `dpReduce` is the *exposed* reduce time (flush + drain
+ * after the pipeline), `dpReduceBusy` the summed time spent inside
+ * bucket tasks wherever they ran, and `overlapHidden` their
+ * difference — the reduce work that cost no critical-path time.
  */
 struct StepPhaseTimes
 {
@@ -182,6 +183,14 @@ class Trainer3d
 
     /** Backward channel into stage-1 of replica d, sender stage s. */
     BackwardChannel &channel(int d, int s);
+
+    /**
+     * Deepest activation stash (micro-batches forwarded but not yet
+     * backwarded) stage @p p of replica @p d held during the last
+     * iteration. The executed 1F1B schedule bounds it by
+     * min(P - p, M).
+     */
+    int stashHighWater(int d, int p) const;
 
     /** Bucketed reduce engine of stage @p p (layout inspection). */
     const ReduceEngine &reduceEngine(int p) const;
@@ -244,9 +253,10 @@ class Trainer3d
     /** Resolved reduce mode (see effectiveReduceMode()). */
     DpReduceMode reduceMode_ = DpReduceMode::Overlapped;
     /**
-     * Workspace arenas: one per data-parallel replica (the replica
-     * loop installs replica d's scope, so activations, gradients and
-     * channel buffers recycle without cross-replica contention) plus
+     * Workspace arenas: one per data-parallel replica (every
+     * pipeline op of replica d installs its scope, so activations,
+     * gradients and channel buffers recycle without cross-replica
+     * contention; the replica's stage ops share it) plus
      * one for the serial portions of the step (sampling, sequential
      * reduce, embedding sync). Declared before every tensor-holding
      * member so arenas are destroyed last.
@@ -279,6 +289,8 @@ class Trainer3d
     std::vector<std::unique_ptr<ReduceEngine>> engines_;
     /** Completion handle for in-flight bucket reductions. */
     TaskGroup reduceGroup_;
+    /** Runs each iteration's 1F1B forward/backward ops on the pool. */
+    PipelineExecutor executor_;
     EmbeddingSynchronizer embSync_;
     std::unique_ptr<ReplicaScorer> scorer_;
     int64_t iterations_ = 0;
@@ -308,6 +320,16 @@ class Trainer3d
     std::vector<ParamPtr> firstCopies_, lastCopies_;
     /** workerParams_[p][d]: stage p's parameter list of replica d. */
     std::vector<std::vector<std::vector<ParamPtr>>> workerParams_;
+    /**
+     * boundary_[(d * (P - 1) + s) * M + m]: micro-batch m's message
+     * across the boundary between stages s and s+1 of replica d —
+     * the activation on the way forward, then the (channel-
+     * delivered) gradient on the way back. Empty between ops that
+     * produce and consume it, and at every iteration's end.
+     */
+    std::vector<Tensor> boundary_;
+    /** stashHighWater_[d * P + p]: see stashHighWater(). */
+    std::vector<int> stashHighWater_;
 };
 
 } // namespace optimus

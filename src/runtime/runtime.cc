@@ -59,6 +59,12 @@ ThreadPool::ThreadPool() : threads_(configuredThreads())
     workers_.reserve(threads_ - 1);
     for (int w = 1; w < threads_; ++w)
         workers_.emplace_back([this, w] { workerLoop(w); });
+    // Wait for every worker's start-up (its trace-track registration
+    // allocates): a worker the OS schedules late would otherwise make
+    // that first-use allocation in whatever step first hands it a
+    // task — long after warmup when the step has few tasks.
+    std::unique_lock<std::mutex> lock(mutex_);
+    done_.wait(lock, [&] { return workersStarted_ == threads_ - 1; });
 }
 
 ThreadPool::~ThreadPool()
@@ -118,6 +124,10 @@ ThreadPool::popTask()
     PendingTask task = std::move(tasks_[taskHead_]);
     taskHead_ = (taskHead_ + 1) % tasks_.size();
     --taskCount_;
+    // Lock order: pool mutex_, then the group's (submit nests the
+    // same way; nothing takes them in the other order).
+    std::lock_guard<std::mutex> glock(task.group->mutex_);
+    --task.group->queued_;
     return task;
 }
 
@@ -141,6 +151,11 @@ ThreadPool::workerLoop(int worker_id)
 {
     t_inWorker = true;
     obs::setThreadTrack(worker_id, "pool worker");
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        ++workersStarted_;
+    }
+    done_.notify_all();
     uint64_t seen_epoch = 0;
     while (true) {
         int64_t num_chunks = 0;
@@ -225,12 +240,16 @@ ThreadPool::submit(TaskGroup &group, std::function<void()> fn)
         return;
     }
     {
-        std::lock_guard<std::mutex> glock(group.mutex_);
-        ++group.pending_;
-    }
-    {
         std::lock_guard<std::mutex> lock(mutex_);
         pushTask(PendingTask{std::move(fn), &group, t_workspace});
+        std::lock_guard<std::mutex> glock(group.mutex_);
+        ++group.pending_;
+        ++group.queued_;
+        // A caller helping in group.wait() sleeps until a task of
+        // the group is queued; this is that wake-up. Notified under
+        // the group lock, so the group cannot drain (and its owner
+        // return from wait() and destroy it) before the call.
+        group.done_.notify_all();
     }
     wake_.notify_one();
 }
@@ -268,10 +287,14 @@ void
 TaskGroup::wait()
 {
     ThreadPool &pool = ThreadPool::instance();
-    while (pool.runOneTask()) {
+    while (true) {
+        while (pool.runOneTask()) {
+        }
+        std::unique_lock<std::mutex> lock(mutex_);
+        done_.wait(lock, [&] { return pending_ == 0 || queued_ > 0; });
+        if (pending_ == 0)
+            return;
     }
-    std::unique_lock<std::mutex> lock(mutex_);
-    done_.wait(lock, [&] { return pending_ == 0; });
 }
 
 int64_t

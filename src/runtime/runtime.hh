@@ -2,8 +2,9 @@
  * @file
  * Shared threaded execution runtime: a fixed-size thread pool with a
  * deterministic `parallelFor` primitive used by the GEMM kernels, the
- * element-wise NN layers, the compression kernels, and the replica
- * loop in Trainer3d.
+ * element-wise NN layers and the compression kernels, and a task
+ * queue that runs Trainer3d's pipeline-stage ops and bucketed
+ * gradient reductions.
  *
  * Determinism contract
  * --------------------
@@ -20,9 +21,16 @@
  * chunking only, so equally thread-count-invariant.
  *
  * Nested parallelism: a `parallelFor` issued from inside a pool
- * worker (e.g. a GEMM called from a replica task) runs inline on the
- * calling worker. This keeps the pool deadlock-free and preserves the
- * chunk decomposition (and therefore the numerics) exactly.
+ * worker (e.g. a GEMM called from a pipeline-stage task) runs inline
+ * on the calling worker. This keeps the pool deadlock-free and
+ * preserves the chunk decomposition (and therefore the numerics)
+ * exactly.
+ *
+ * Workspace propagation: the thread-local workspace slot below is the
+ * one slot tensor storage reads (WorkspaceScope in tensor/arena.hh
+ * writes it). The pool mirrors the submitting thread's slot onto
+ * whichever thread runs a parallelFor chunk or a queued task, so
+ * tensors built there land in the submitter's arena, not the heap.
  *
  * Pool size: `OPTIMUS_THREADS` if set (clamped to [1, 256]), else
  * `std::thread::hardware_concurrency()`. Read once at first use.
@@ -137,7 +145,7 @@ class ThreadPool
      * popped FIFO by pool workers that are not currently executing
      * parallelFor chunks — including while a parallelFor job is in
      * flight, which is what lets bucketed gradient reduction overlap
-     * the backward replica loop. On a serial pool (threads() == 1)
+     * the pipeline's backward ops. On a serial pool (threads() == 1)
      * the task runs inline immediately. Task bodies execute with
      * inParallelRegion() true, so nested parallel regions run inline
      * and the determinism contract is preserved regardless of which
@@ -188,6 +196,8 @@ class ThreadPool
     /** Incremented per job; workers run the job whose id they see. */
     uint64_t jobEpoch_ = 0;
     int workersBusy_ = 0;
+    /** Workers past start-up (the constructor waits for all). */
+    int workersStarted_ = 0;
     bool shutdown_ = false;
     /**
      * FIFO task queue: a ring over a vector (head/count), so the
@@ -242,8 +252,12 @@ class TaskGroup
     void run(std::function<void()> fn);
 
     /**
-     * Execute queued tasks on the calling thread until the queue is
-     * empty, then block until every task of this group finished.
+     * Execute queued tasks on the calling thread until every task of
+     * this group finished. The caller keeps helping while it waits:
+     * it sleeps only while none of the group's tasks is queued and
+     * wakes to run one as soon as any is submitted (tasks may submit
+     * follow-on tasks of their own group), so the caller counts as a
+     * full pool worker for the group's whole lifetime.
      */
     void wait();
 
@@ -257,6 +271,8 @@ class TaskGroup
     std::condition_variable done_;
     /** Tasks submitted but not yet completed (guarded by mutex_). */
     int64_t pending_ = 0;
+    /** Tasks still sitting in the pool queue (guarded by mutex_). */
+    int64_t queued_ = 0;
     int64_t submitted_ = 0;
 };
 
@@ -292,11 +308,12 @@ double parallelReduceSum(int64_t begin, int64_t end, int64_t grain,
 int runtimeThreads();
 
 /**
- * Thread-local workspace slot. The arena layer (tensor/arena.hh)
- * scopes tensor storage through this slot and the pool mirrors it
- * onto workers for the duration of a job or task — the slot lives
- * here, below the tensor library, so the pool can propagate it
- * without depending on the arena types. Returns the previous value.
+ * The thread-local workspace slot: the one slot tensor storage reads
+ * (through WorkspaceScope / currentWorkspace() in tensor/arena.hh)
+ * and the pool mirrors onto workers for the duration of a job or
+ * task. It lives here, below the tensor library, so the pool can
+ * propagate it without depending on the arena types. Returns the
+ * previous value.
  */
 Workspace *exchangeCurrentWorkspaceSlot(Workspace *ws);
 

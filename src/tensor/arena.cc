@@ -1,11 +1,14 @@
 #include "tensor/arena.hh"
 
+#include <sys/mman.h>
+
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
 
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
+#include "runtime/runtime.hh"
 #include "util/logging.hh"
 
 namespace optimus
@@ -20,9 +23,6 @@ constexpr int64_t kMinClassBytes = 64;
 constexpr int kNumClasses = 26;
 /** Default slab; classes larger than this get a dedicated slab. */
 constexpr int64_t kSlabBytes = int64_t(1) << 20;
-
-/** The thread's innermost scope (raw; gate applied on read). */
-thread_local Workspace *t_currentWs = nullptr;
 
 // Process-wide tallies — always on, so they are plain relaxed
 // atomics here instead of obs::metrics counters (which sit behind
@@ -60,7 +60,7 @@ Workspace::Workspace(const char *name)
 
 Workspace::~Workspace()
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::lock_guard<SpinLock> guard(lock_);
     if (stats_.outstanding != 0) {
         // Tensors still holding blocks would release into freed
         // memory; leaking the slabs is the survivable failure mode,
@@ -70,7 +70,8 @@ Workspace::~Workspace()
         return;
     }
     for (Slab &s : slabs_)
-        std::free(s.base);
+        munmap(s.base, static_cast<size_t>(s.cap));
+    mem::noteLive(-stats_.slabBytes);
 }
 
 // The arena's own heap growth is warmup-only and audited
@@ -87,7 +88,7 @@ Workspace::allocate(int64_t min_elems, int64_t &cap_elems)
     const int64_t want = classBytes(cls);
     cap_elems = want / int64_t(sizeof(float));
 
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::lock_guard<SpinLock> guard(lock_);
     ++stats_.outstanding;
 
     if (float *p = freeHeads_[cls]) {
@@ -114,11 +115,17 @@ Workspace::allocate(int64_t min_elems, int64_t &cap_elems)
 
     // Grow: one heap call, the event the steady-state contract
     // forbids. optlint:coldalloc — this is the audited warmup path
-    // the workspace layer exists to confine.
+    // the workspace layer exists to confine. Slabs are mapped pages
+    // of their own, unmapped when the workspace dies, so its memory
+    // goes back to the OS instead of staying resident in the malloc
+    // heap of whichever thread happened to grow the arena.
     const int64_t slab_cap = want > kSlabBytes ? want : kSlabBytes;
     Slab s;
-    s.base = static_cast<char *>(std::aligned_alloc(64, slab_cap));
-    OPTIMUS_ASSERT(s.base != nullptr);
+    void *base = mmap(nullptr, static_cast<size_t>(slab_cap),
+                      PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS,
+                      -1, 0);
+    OPTIMUS_ASSERT(base != MAP_FAILED);
+    s.base = static_cast<char *>(base);
     s.cap = slab_cap;
     s.used = want;
     slabs_.push_back(s);
@@ -134,7 +141,7 @@ void
 Workspace::release(float *p, int64_t cap_elems)
 {
     const int cls = classOf(cap_elems * int64_t(sizeof(float)));
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::lock_guard<SpinLock> guard(lock_);
     OPTIMUS_ASSERT(stats_.outstanding > 0);
     --stats_.outstanding;
     // Intrusive push: the released block stores the old head in its
@@ -146,7 +153,7 @@ Workspace::release(float *p, int64_t cap_elems)
 bool
 Workspace::reset()
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::lock_guard<SpinLock> guard(lock_);
     if (stats_.outstanding != 0)
         return false;
     for (float *&head : freeHeads_)
@@ -160,32 +167,26 @@ Workspace::reset()
 WorkspaceStats
 Workspace::stats() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::lock_guard<SpinLock> guard(lock_);
     return stats_;
 }
 
-WorkspaceScope::WorkspaceScope(Workspace *ws) : saved_(t_currentWs)
-{
-    t_currentWs = ws;
-}
+// The scope lives in the runtime's thread-local workspace slot —
+// the one slot the pool mirrors onto workers — so a scope installed
+// here is what every chunk and task submitted from this thread sees.
+WorkspaceScope::WorkspaceScope(Workspace *ws)
+    : saved_(exchangeCurrentWorkspaceSlot(ws))
+{}
 
 WorkspaceScope::~WorkspaceScope()
 {
-    t_currentWs = saved_;
+    exchangeCurrentWorkspaceSlot(saved_);
 }
 
 Workspace *
 currentWorkspace()
 {
-    return arenaEnabled() ? t_currentWs : nullptr;
-}
-
-Workspace *
-exchangeCurrentWorkspace(Workspace *ws)
-{
-    Workspace *prev = t_currentWs;
-    t_currentWs = ws;
-    return prev;
+    return arenaEnabled() ? currentWorkspaceSlot() : nullptr;
 }
 
 bool

@@ -4,11 +4,14 @@
  * new/delete are replaced with counting wrappers; after a two-step
  * warmup the counter is armed around full training iterations and
  * the gate fails on ANY heap allocation made anywhere in the
- * process — tensor storage, containers, closures, pool tasks — on
- * the forward/backward/compress/reduce/update path, in every DP
- * reduce mode. This is the runtime enforcement of what optlint's
- * ALLOC01 hot set declares statically and what the coldalloc /
- * coldfn annotations promise is warmup-only.
+ * process — containers, closures, pool tasks, and tensor storage
+ * (counted through mem::heapAllocs, since arena slabs and unscoped
+ * tensors bypass operator new) — on the forward/backward/compress/
+ * reduce/update path, in every DP reduce mode, at every point of a
+ * D in {1,2,4} x P in {1,2,4} grid. This is the runtime
+ * enforcement of what optlint's ALLOC01 hot set declares statically
+ * and what the coldalloc / coldfn annotations promise is
+ * warmup-only.
  *
  * `--serve` gates the serving decode path instead: a pipelined
  * (P=2) continuous-batching ServeEngine is warmed with two full
@@ -29,6 +32,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <new>
 
 #include "data/corpus.hh"
@@ -161,8 +165,24 @@ namespace
 
 using namespace optimus;
 
+/** One grid point: D replicas x P stages x M micro-batches. */
+struct GridPoint
+{
+    int d, p, m;
+};
+
+/**
+ * D in {1,2,4} x P in {1,2,4}, each with M = 2P micro-batches, so
+ * every stage of the 1F1B schedule has warm-up, steady 1F1B and
+ * cool-down ops, and the executor interleaves stages.
+ */
+constexpr GridPoint kGrid[] = {
+    {1, 1, 2}, {1, 2, 4}, {1, 4, 8}, {2, 1, 2}, {2, 2, 4},
+    {2, 4, 8}, {4, 1, 2}, {4, 2, 4}, {4, 4, 8},
+};
+
 Trainer3dConfig
-gateConfig(DpReduceMode mode)
+gateConfig(DpReduceMode mode, const GridPoint &grid)
 {
     GptConfig model;
     model.vocab = 24;
@@ -174,9 +194,9 @@ gateConfig(DpReduceMode mode)
 
     Trainer3dConfig config;
     config.model = model;
-    config.dataParallel = 2;
-    config.pipelineStages = 2;
-    config.microBatches = 2;
+    config.dataParallel = grid.d;
+    config.pipelineStages = grid.p;
+    config.microBatches = grid.m;
     config.microBatchSize = 2;
     config.useAdam = true;
     config.cb.enabled = true;
@@ -203,11 +223,23 @@ modeName(DpReduceMode mode)
     return "?";
 }
 
-/** @return armed allocation count over two post-warmup steps. */
-long long
-runGate(DpReduceMode mode, const LmDataset &data)
+/** Heap allocations made during the armed steps. */
+struct ArmedAllocs
 {
-    Trainer3d trainer(gateConfig(mode));
+    /** operator new calls (containers, closures, pool tasks). */
+    long long news = 0;
+    /** Tensor-storage heap acquisitions (mem::heapAllocs: arena
+     *  slab growth and unscoped tensors, which bypass operator new). */
+    long long tensors = 0;
+
+    long long total() const { return news + tensors; }
+};
+
+/** @return heap allocations over two post-warmup steps. */
+ArmedAllocs
+runGate(DpReduceMode mode, const GridPoint &grid, const LmDataset &data)
+{
+    Trainer3d trainer(gateConfig(mode, grid));
     Rng rng(99);
     // Warmup: step one sizes the arenas and ratchets every scratch
     // capacity; step two builds lazily-constructed compressor warm
@@ -215,12 +247,16 @@ runGate(DpReduceMode mode, const LmDataset &data)
     trainer.trainIteration(data, rng);
     trainer.trainIteration(data, rng);
 
+    const int64_t tensor_allocs = mem::heapAllocs();
     g_armedAllocs.store(0, std::memory_order_relaxed);
     g_armed.store(true, std::memory_order_relaxed);
     trainer.trainIteration(data, rng);
     trainer.trainIteration(data, rng);
     g_armed.store(false, std::memory_order_relaxed);
-    return g_armedAllocs.load(std::memory_order_relaxed);
+    ArmedAllocs armed;
+    armed.news = g_armedAllocs.load(std::memory_order_relaxed);
+    armed.tensors = mem::heapAllocs() - tensor_allocs;
+    return armed;
 }
 
 /** Deterministic prompt mix (lengths 3..5 over the gate vocab). */
@@ -294,7 +330,8 @@ telemetryMain(const LmDataset &data)
         std::fprintf(stderr, "alloc_gate: warning: exporter "
                              "listener failed to start\n");
     const long long train_count =
-        runGate(DpReduceMode::Overlapped, data);
+        runGate(DpReduceMode::Overlapped, GridPoint{2, 2, 4}, data)
+            .total();
     const long long serve_count = runServeGate();
     obs::stopMetricsServer();
     obs::enableProbes(false);
@@ -368,26 +405,30 @@ main(int argc, char **argv)
     for (const DpReduceMode mode :
          {DpReduceMode::Sequential, DpReduceMode::Barriered,
           DpReduceMode::Overlapped}) {
-        const long long count = runGate(mode, data);
-        const int64_t heap = mem::heapAllocs();
-        std::printf("alloc_gate: mode=%-10s armed allocs=%lld "
+        for (const GridPoint &grid : kGrid) {
+            const ArmedAllocs armed = runGate(mode, grid, data);
+            if (armed.total() == 0)
+                continue;
+            std::fprintf(stderr,
+                         "alloc_gate: FAIL mode=%s d=%d p=%d m=%d: "
+                         "%lld operator new + %lld tensor-storage heap "
+                         "allocation(s) in steady-state steps\n",
+                         modeName(mode), grid.d, grid.p, grid.m,
+                         armed.news, armed.tensors);
+            ++failures;
+        }
+        std::printf("alloc_gate: mode=%-10s %zu grid points "
                     "(lifetime: heapAllocs=%lld arenaHits=%lld "
                     "fallbacks=%lld peakBytes=%lld)\n",
-                    modeName(mode), count,
-                    static_cast<long long>(heap),
+                    modeName(mode), std::size(kGrid),
+                    static_cast<long long>(mem::heapAllocs()),
                     static_cast<long long>(mem::arenaHits()),
                     static_cast<long long>(mem::heapFallbacks()),
                     static_cast<long long>(mem::peakBytes()));
-        if (count != 0) {
-            std::fprintf(stderr,
-                         "alloc_gate: FAIL mode=%s: %lld heap "
-                         "allocation(s) in a steady-state step\n",
-                         modeName(mode), count);
-            ++failures;
-        }
     }
     if (failures == 0)
         std::printf("alloc_gate: PASS (zero steady-state heap "
-                    "allocations in all reduce modes)\n");
+                    "allocations in all reduce modes at every grid "
+                    "point)\n");
     return failures == 0 ? 0 : 1;
 }

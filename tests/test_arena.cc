@@ -11,17 +11,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include <unistd.h>
 
 #include "data/corpus.hh"
 #include "data/dataset.hh"
 #include "parallel/trainer3d.hh"
+#include "runtime/runtime.hh"
 #include "tensor/arena.hh"
 #include "tensor/tensor.hh"
 
@@ -181,6 +185,64 @@ TEST(Workspace, ScopeRestoresOuterWorkspace)
         EXPECT_EQ(currentWorkspace(), &inner);
     }
     EXPECT_EQ(currentWorkspace(), &outer);
+}
+
+/**
+ * Pool threads see the submitter's workspace: tensors built inside
+ * pooled parallelFor chunks and inside queued TaskGroup tasks draw
+ * from the scope installed by the thread that issued them, because
+ * the slot the arena reads is the slot the pool mirrors. Otherwise
+ * worker-run bodies put their tensors on the heap in every step.
+ */
+TEST(Workspace, PoolThreadsDrawFromTheSubmittersScope)
+{
+    if (!arenaEnabled())
+        GTEST_SKIP() << "OPTIMUS_ARENA=0";
+    Workspace ws("submitter");
+    WorkspaceScope scope(&ws);
+    const int64_t n = 4 * runtimeThreads();
+    {
+        // Warm the arena: one block per body, so the measured
+        // bodies below are served without a slab fallback.
+        std::vector<Tensor> warm;
+        for (int64_t i = 0; i < 2 * n; ++i)
+            warm.emplace_back(ShapeVec{64});
+    }
+    const int64_t heap0 = mem::heapAllocs();
+    const int64_t hits0 = ws.stats().arenaHits;
+    const std::thread::id caller = std::this_thread::get_id();
+
+    std::vector<Workspace *> chunk_ws(n, nullptr);
+    std::vector<std::thread::id> chunk_thread(n);
+    parallelFor(0, n, 1, [&](int64_t lo, int64_t hi) {
+        for (int64_t c = lo; c < hi; ++c) {
+            Tensor t(ShapeVec{64});
+            chunk_ws[c] = currentWorkspace();
+            chunk_thread[c] = std::this_thread::get_id();
+        }
+    });
+    std::vector<Workspace *> task_ws(n, nullptr);
+    TaskGroup group;
+    for (int64_t c = 0; c < n; ++c) {
+        group.run([&task_ws, c] {
+            Tensor t(ShapeVec{64});
+            task_ws[c] = currentWorkspace();
+        });
+    }
+    group.wait();
+
+    for (int64_t c = 0; c < n; ++c) {
+        EXPECT_EQ(chunk_ws[c], &ws) << "chunk " << c;
+        EXPECT_EQ(task_ws[c], &ws) << "task " << c;
+    }
+    if (runtimeThreads() > 1) {
+        // Chunks are assigned round-robin, so workers ran some.
+        EXPECT_NE(std::count(chunk_thread.begin(), chunk_thread.end(),
+                             caller),
+                  n);
+    }
+    EXPECT_EQ(mem::heapAllocs(), heap0);
+    EXPECT_GE(ws.stats().arenaHits - hits0, 2 * n);
 }
 
 /**

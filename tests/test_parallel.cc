@@ -9,14 +9,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
+#include "core/presets.hh"
 #include "data/corpus.hh"
 #include "data/dataset.hh"
 #include "nn/optimizer.hh"
 #include "parallel/data_parallel.hh"
 #include "parallel/tensor_parallel.hh"
 #include "parallel/trainer3d.hh"
+#include "tensor/simd.hh"
 
 namespace optimus
 {
@@ -560,6 +564,121 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(3, 2, 2),
                       std::make_tuple(2, 4, 3),
                       std::make_tuple(4, 1, 2)));
+
+/** FNV-1a over the bit patterns of every replica's parameters. */
+uint64_t
+paramDigest(Trainer3d &trainer)
+{
+    uint64_t h = 1469598103934665603ull;
+    for (int d = 0; d < trainer.config().dataParallel; ++d) {
+        for (int p = 0; p < trainer.config().pipelineStages; ++p) {
+            for (const auto &param : trainer.stage(d, p).params()) {
+                for (int64_t i = 0; i < param->size(); ++i) {
+                    uint32_t bits;
+                    const float v = param->value[i];
+                    std::memcpy(&bits, &v, sizeof(bits));
+                    for (int b = 0; b < 4; ++b) {
+                        h ^= (bits >> (8 * b)) & 0xffu;
+                        h *= 1099511628211ull;
+                    }
+                }
+            }
+        }
+    }
+    return h;
+}
+
+/** Parameter digest after five iterations of @p preset on D x P x M. */
+uint64_t
+presetDigest(const TechniquePreset &preset, int d, int p, int m)
+{
+    Trainer3dConfig config = baseTrainerConfig();
+    config.dataParallel = d;
+    config.pipelineStages = p;
+    config.microBatches = m;
+    config.cb = preset.cb;
+    config.dp = preset.dp;
+    config.fusedEmbeddingSync = preset.fusedEmbeddingSync;
+    Trainer3d trainer(config);
+    LmDataset data = tinyData(config.model.seqLen);
+    Rng rng(99);
+    for (int it = 0; it < 5; ++it)
+        trainer.trainIteration(data, rng);
+    return paramDigest(trainer);
+}
+
+/**
+ * The pipeline executor changes when and where ops run, never what
+ * they compute: the digests below were recorded (scalar SIMD tier)
+ * with the serial loop it replaced — every forward, then every
+ * backward, stage after stage inside each replica. The baseline
+ * config is the pure pipeline; cbFeSc covers LEP, epilogue-only CB,
+ * SC with error feedback, and FE. Run at several OPTIMUS_THREADS
+ * legs, so 1F1B interleaving on any pool width must reproduce them.
+ */
+TEST(PipelineExecutor, ReproducesSerialLoopDigests)
+{
+    const simd::Tier saved = simd::tier();
+    simd::setTier(simd::Tier::Scalar);
+    EXPECT_EQ(presetDigest(presets::baseline(), 1, 4, 8),
+              0x51f484d42ce0c1d6ull);
+    EXPECT_EQ(presetDigest(presets::cbFeSc(), 2, 4, 4),
+              0xdd4e79ea4be90b5bull);
+    simd::setTier(saved);
+}
+
+/**
+ * Under the executed 1F1B schedule stage s holds at most
+ * min(P - s, M) micro-batches of activations (its warm-up forwards
+ * plus one), not all M — the on-box counterpart of the paper's
+ * Fig 12 activation-memory point. Every stash is drained by the end
+ * of the iteration.
+ */
+TEST(PipelineExecutor, StashHighWaterIsOneFOneBDepth)
+{
+    for (const auto &[p_ways, m_count] :
+         {std::pair{4, 8}, std::pair{4, 2}, std::pair{2, 5}}) {
+        Trainer3dConfig config = baseTrainerConfig();
+        config.dataParallel = 2;
+        config.pipelineStages = p_ways;
+        config.microBatches = m_count;
+        Trainer3d trainer(config);
+        LmDataset data = tinyData(config.model.seqLen);
+        Rng rng(47);
+        for (int it = 0; it < 2; ++it) {
+            trainer.trainIteration(data, rng);
+            for (int d = 0; d < config.dataParallel; ++d) {
+                for (int s = 0; s < p_ways; ++s) {
+                    EXPECT_EQ(trainer.stashHighWater(d, s),
+                              std::min(p_ways - s, m_count))
+                        << "P=" << p_ways << " M=" << m_count
+                        << " d=" << d << " s=" << s;
+                    EXPECT_EQ(trainer.stage(d, s).stashDepth(), 0u);
+                }
+            }
+        }
+    }
+}
+
+TEST(StageModule, StashDepthCountsMicroBatchesInFlight)
+{
+    const GptConfig config = tinyModel();
+    StageModule first(config, 0, 2);
+    StageModule last(config, 1, 2);
+    Rng rng(3);
+    std::vector<int32_t> tokens(2 * config.seqLen);
+    for (auto &t : tokens)
+        t = static_cast<int32_t>(rng.uniformInt(config.vocab));
+    for (int m = 0; m < 3; ++m)
+        last.forwardHidden(first.forwardTokens(tokens, 2));
+    EXPECT_EQ(first.stashDepth(), 3u);
+    EXPECT_EQ(last.stashDepth(), 3u);
+    first.backwardTokens(first.backwardHidden(
+        Tensor::randn({2 * config.seqLen, config.hidden}, rng)));
+    EXPECT_EQ(first.stashDepth(), 2u);
+    first.clearStash();
+    EXPECT_EQ(first.stashDepth(), 0u);
+}
 
 TEST(Trainer, LossDecreasesOverTraining)
 {
